@@ -84,24 +84,25 @@ BM_FunctionalExecution(benchmark::State &state)
 }
 BENCHMARK(BM_FunctionalExecution);
 
+/** Functional execution with the DDG recorded alongside. */
 void
-BM_CycleSimulation(benchmark::State &state)
+BM_RecordDdg(benchmark::State &state)
 {
     setVerbose(false);
     auto w = workloads::buildWorkload("gemm");
     auto accel = workloads::lowerBaseline(w);
-    ir::MemoryImage mem(*w.module);
-    w.bind(mem);
-    sim::UirExecutor exec(*accel, mem);
-    exec.run({});
+    uint64_t events = 0;
     for (auto _ : state) {
-        auto timing = sim::scheduleDdg(*accel, exec.ddg());
-        benchmark::DoNotOptimize(timing.cycles);
+        ir::MemoryImage mem(*w.module);
+        w.bind(mem);
+        sim::UirExecutor exec(*accel, mem);
+        exec.run({});
+        events = exec.record().numEvents;
+        benchmark::DoNotOptimize(events);
     }
-    state.SetItemsProcessed(state.iterations() *
-                            exec.ddg().numEvents());
+    state.SetItemsProcessed(state.iterations() * events);
 }
-BENCHMARK(BM_CycleSimulation);
+BENCHMARK(BM_RecordDdg);
 
 void
 BM_CompileDdg(benchmark::State &state)
@@ -114,11 +115,14 @@ BM_CompileDdg(benchmark::State &state)
     sim::UirExecutor exec(*accel, mem);
     exec.run({});
     for (auto _ : state) {
-        auto compiled = sim::compileDdg(*accel, exec.ddg());
+        state.PauseTiming();
+        sim::CompiledDdg record = exec.record();
+        state.ResumeTiming();
+        auto compiled = sim::compileDdg(std::move(record));
         benchmark::DoNotOptimize(compiled.numEvents);
     }
     state.SetItemsProcessed(state.iterations() *
-                            exec.ddg().numEvents());
+                            exec.record().numEvents);
 }
 BENCHMARK(BM_CompileDdg);
 
@@ -132,7 +136,7 @@ BM_CycleSimulationCompiled(benchmark::State &state)
     w.bind(mem);
     sim::UirExecutor exec(*accel, mem);
     exec.run({});
-    auto compiled = sim::compileDdg(*accel, exec.ddg());
+    auto compiled = sim::compileDdg(exec.takeRecord());
     for (auto _ : state) {
         auto timing = sim::scheduleDdg(compiled);
         benchmark::DoNotOptimize(timing.cycles);
@@ -168,11 +172,12 @@ BM_FirrtlElaboration(benchmark::State &state)
 BENCHMARK(BM_FirrtlElaboration);
 
 /**
- * Machine-readable scheduler-throughput rows: the builder-layout path
- * (compile + replay per run, the pre-compiled-DDG world) against the
- * shared compiled-index replay, on the largest recorded graph (gemm).
- * Emitted as BENCH_framework_microbench.json so the memory-layout win
- * is visible in regression diffs independently of the perf gate.
+ * Machine-readable DDG throughput rows on the largest recorded graph
+ * (gemm): recording (functional execution plus the DDG appended into
+ * its columns) and the compiled-index replay, each with the bytes per
+ * event of its form. Emitted as BENCH_framework_microbench.json so
+ * layout and throughput changes are visible in regression diffs
+ * independently of the perf gate.
  */
 void
 writeSchedulerThroughput()
@@ -181,13 +186,6 @@ writeSchedulerThroughput()
     setVerbose(false);
     auto w = workloads::buildWorkload("gemm");
     auto accel = workloads::lowerBaseline(w);
-    ir::MemoryImage mem(*w.module);
-    w.bind(mem);
-    sim::UirExecutor exec(*accel, mem);
-    exec.run({});
-    const sim::Ddg &ddg = exec.ddg();
-    auto compiled = sim::compileDdg(*accel, ddg);
-    const double events = double(ddg.numEvents());
 
     // Best-of-N wall seconds: the minimum is the least-noisy estimator
     // for a CPU-bound loop on a shared CI box.
@@ -201,9 +199,19 @@ writeSchedulerThroughput()
         }
         return best;
     };
-    double ddg_s = best_seconds(
-        [&] { benchmark::DoNotOptimize(
-                  sim::scheduleDdg(*accel, ddg).cycles); });
+    sim::CompiledDdg record;
+    double record_s = best_seconds([&] {
+        ir::MemoryImage mem(*w.module);
+        w.bind(mem);
+        sim::UirExecutor exec(*accel, mem);
+        exec.run({});
+        record = exec.takeRecord();
+    });
+    const double events = double(record.numEvents);
+    const double record_bytes = double(record.bytes());
+    // Sized like an index kept for reuse (SimOptions::keepCompiled).
+    auto compiled = sim::compileDdg(std::move(record));
+    compiled.shrinkToFit();
     double compiled_s = best_seconds(
         [&] { benchmark::DoNotOptimize(
                   sim::scheduleDdg(compiled).cycles); });
@@ -222,10 +230,9 @@ writeSchedulerThroughput()
     }
 
     bench::BenchJson out("framework_microbench");
-    out.add("ddg_replay", "gemm",
-            {{"events_per_sec", events / ddg_s},
-             {"bytes_per_event", double(sim::ddgBytes(ddg)) / events},
-             {"ready_queue_peak", double(queue_peak)}});
+    out.add("record", "gemm",
+            {{"events_per_sec", events / record_s},
+             {"bytes_per_event", record_bytes / events}});
     out.add("compiled_replay", "gemm",
             {{"events_per_sec", events / compiled_s},
              {"bytes_per_event", double(compiled.bytes()) / events},

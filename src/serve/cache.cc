@@ -130,10 +130,10 @@ DesignCache::compile(const RunRequest &req, trace::ActiveTrace *t,
         sim::UirExecutor exec(*design->accel, mem,
                               /*record_ddg=*/true);
         exec.run({});
-        design->compiled = std::make_shared<const sim::CompiledDdg>(
-            sim::compileDdg(*design->accel,
-                            std::make_shared<const sim::Ddg>(
-                                exec.takeDdg())));
+        auto compiled = std::make_shared<sim::CompiledDdg>(
+            sim::compileDdg(exec.takeRecord()));
+        compiled->shrinkToFit();
+        design->compiled = std::move(compiled);
     }
     return design;
 }

@@ -14,22 +14,17 @@ namespace muir::sim
 namespace
 {
 
-CompiledDdg
-compileImpl(const uir::Accelerator &accel, const Ddg &ddg)
+void
+compileImpl(CompiledDdg &cd)
 {
-    CompiledDdg cd;
-    cd.design = &accel;
-    cd.source = &ddg;
-    const auto &events = ddg.events();
-    const auto &invocations = ddg.invocations();
-    muir_assert(events.size() < kNoId32,
-                "compileDdg: %zu events exceed the 32-bit id space",
-                events.size());
-    const uint32_t n = static_cast<uint32_t>(events.size());
-    cd.numEvents = n;
-    cd.numInvocations = static_cast<uint32_t>(invocations.size());
+    const uir::Accelerator &accel = *cd.design;
+    const uint32_t n = cd.numEvents;
+    muir_assert(cd.depStart.size() == size_t(n) + 1 &&
+                    cd.flags.size() == n &&
+                    cd.memEdge.size() == cd.deps.size(),
+                "compileDdg: ragged record (%u events)", n);
 
-    // ---- design tables: dense task / node / structure ids ----------
+    // ---- design tables: dense task / structure ids -----------------
     std::unordered_map<const uir::Task *, uint16_t> taskIds;
     std::vector<uint32_t> taskJunctionBase;
     std::vector<uint16_t> taskReadPorts, taskWritePorts;
@@ -52,24 +47,18 @@ compileImpl(const uir::Accelerator &accel, const Ddg &ddg)
         cd.tasks.push_back(std::move(ct));
     }
 
-    std::unordered_map<const uir::Node *, uint32_t> nodeIds;
-    std::vector<uint32_t> nodeSlotBase;
-    std::vector<uint32_t> nodeLat, nodeIi;
+    // Per dense node id (the recorder's numbering): task, initiation
+    // slot base, static latency and II.
+    std::vector<uint32_t> nodeSlotBase, nodeLat, nodeIi;
     std::vector<uint16_t> nodeTask;
     uint32_t slot_cursor = 0;
-    for (const auto &task : accel.tasks()) {
-        uint16_t tid = taskIds.at(task.get());
-        unsigned tiles = cd.tasks[tid].tiles;
-        for (const auto &node : task->nodes()) {
-            nodeIds.emplace(node.get(),
-                            static_cast<uint32_t>(cd.nodes.size()));
-            cd.nodes.push_back(node.get());
-            nodeSlotBase.push_back(slot_cursor);
-            nodeLat.push_back(uir::nodeLatency(*node));
-            nodeIi.push_back(uir::nodeInitiationInterval(*node));
-            nodeTask.push_back(tid);
-            slot_cursor += tiles;
-        }
+    for (const uir::Node *node : cd.nodes) {
+        uint16_t tid = taskIds.at(node->parent());
+        nodeSlotBase.push_back(slot_cursor);
+        nodeLat.push_back(uir::nodeLatency(*node));
+        nodeIi.push_back(uir::nodeInitiationInterval(*node));
+        nodeTask.push_back(tid);
+        slot_cursor += cd.tasks[tid].tiles;
     }
     cd.initSlots = slot_cursor;
 
@@ -114,130 +103,86 @@ compileImpl(const uir::Accelerator &accel, const Ddg &ddg)
         return it->second;
     };
 
-    // ---- per-event packed attributes + deps CSR --------------------
-    cd.depStart.assign(n + 1, 0);
-    uint64_t total_deps = 0;
-    for (const auto &e : events)
-        total_deps += e.deps.size();
-    muir_assert(total_deps < kNoId32,
-                "compileDdg: %llu deps exceed the 32-bit CSR space",
-                static_cast<unsigned long long>(total_deps));
-    cd.deps.resize(total_deps);
-    cd.addr.resize(n);
-    cd.nodeOf.resize(n);
-    cd.invocation.resize(n);
-    cd.queueDep.resize(n);
+    // ---- per-event scheduling geometry -----------------------------
     cd.initSlot.resize(n);
     cd.latency.resize(n);
     cd.initInterval.resize(n);
-    cd.tile.resize(n);
     cd.junctionPortBase.resize(n);
     cd.junctionPorts.resize(n);
     cd.bankPortBase.resize(n);
     cd.beats.resize(n);
-    cd.words.resize(n);
     cd.taskOf.resize(n);
     cd.structOf.resize(n);
-    cd.flags.resize(n);
 
-    uint32_t dep_cursor = 0;
     for (uint32_t id = 0; id < n; ++id) {
-        const DynEvent &e = events[id];
-        cd.depStart[id] = dep_cursor;
-        for (uint64_t d : e.deps) {
-            muir_assert(d < id, "DDG dep not earlier than event");
-            cd.deps[dep_cursor++] = static_cast<uint32_t>(d);
-        }
-        cd.addr[id] = e.addr;
-        cd.words[id] = e.words;
-        cd.invocation[id] = e.invocation;
-        cd.queueDep[id] = e.queueDep == kNoEvent
-                              ? kNoId32
-                              : static_cast<uint32_t>(e.queueDep);
-        uint8_t fl = 0;
-        if (e.isLoad)
-            fl |= kEvLoad;
-        if (e.isStore)
-            fl |= kEvStore;
-        if (e.isEntry)
-            fl |= kEvEntry;
-        if (e.isCompletion)
-            fl |= kEvCompletion;
-
-        if (e.isCompletion) {
-            cd.nodeOf[id] = kNoId32;
+        uint8_t &fl = cd.flags[id];
+        if (fl & kEvCompletion) {
             cd.initSlot[id] = kNoId32;
             cd.taskOf[id] = kNoId16;
             cd.structOf[id] = kNoId16;
-            cd.flags[id] = fl;
             continue;
         }
 
-        uint32_t nid = nodeIds.at(e.node);
+        uint32_t nid = cd.nodeOf[id];
         uint16_t tid = nodeTask[nid];
         unsigned tiles = cd.tasks[tid].tiles;
-        uint32_t tile = static_cast<uint32_t>(
-            invocations[e.invocation].seqInTask % tiles);
-        cd.nodeOf[id] = nid;
+        uint32_t tile =
+            cd.invocations[cd.invocation[id]].seqInTask % tiles;
         cd.taskOf[id] = tid;
-        cd.tile[id] = tile;
         cd.initSlot[id] = nodeSlotBase[nid] + tile;
         cd.latency[id] = nodeLat[nid];
         cd.initInterval[id] = nodeIi[nid];
 
-        if (e.isLoad || e.isStore) {
-            unsigned r = taskReadPorts[tid];
-            unsigned w = taskWritePorts[tid];
-            uint32_t jbase =
-                taskJunctionBase[tid] + tile * (r + w);
-            cd.junctionPortBase[id] = e.isLoad ? jbase : jbase + r;
-            cd.junctionPorts[id] =
-                e.isLoad ? taskReadPorts[tid] : taskWritePorts[tid];
-
-            uint16_t sid = structForSpace(e.node->memSpace());
-            const CompiledStruct &cs = cd.structs[sid];
-            const uir::Structure *s = cs.s;
-            unsigned wide = std::max(1u, s->wideWords());
-            unsigned beats =
-                (std::max<unsigned>(1, e.words) + wide - 1) / wide;
-            unsigned bank_idx;
-            if (cs.isCache)
-                bank_idx = static_cast<unsigned>(
-                    (e.addr / cs.lineBytes) % s->banks());
-            else
-                bank_idx = static_cast<unsigned>(
-                    (e.addr / 4 / wide) % s->banks());
-            cd.structOf[id] = sid;
-            cd.beats[id] = beats;
-            cd.bankPortBase[id] =
-                cs.portBase + bank_idx * cs.portsPerBank;
-            if (cs.isCache && e.words > 1 &&
-                (e.addr / cs.lineBytes) !=
-                    ((e.addr + e.words * 4 - 1) / cs.lineBytes))
-                fl |= kEvStraddle;
-        } else {
+        if (!(fl & (kEvLoad | kEvStore))) {
             cd.structOf[id] = kNoId16;
+            continue;
         }
-        cd.flags[id] = fl;
+        bool load = fl & kEvLoad;
+        unsigned r = taskReadPorts[tid];
+        unsigned w = taskWritePorts[tid];
+        uint32_t jbase = taskJunctionBase[tid] + tile * (r + w);
+        cd.junctionPortBase[id] = load ? jbase : jbase + r;
+        cd.junctionPorts[id] = static_cast<uint16_t>(load ? r : w);
+
+        uint16_t sid = structForSpace(cd.nodes[nid]->memSpace());
+        const CompiledStruct &cs = cd.structs[sid];
+        const uir::Structure *s = cs.s;
+        uint64_t addr = cd.addr[id];
+        unsigned words = cd.words[id];
+        unsigned wide = std::max(1u, s->wideWords());
+        unsigned bank_idx;
+        if (cs.isCache)
+            bank_idx =
+                static_cast<unsigned>((addr / cs.lineBytes) % s->banks());
+        else
+            bank_idx =
+                static_cast<unsigned>((addr / 4 / wide) % s->banks());
+        cd.structOf[id] = sid;
+        cd.beats[id] = (std::max(1u, words) + wide - 1) / wide;
+        cd.bankPortBase[id] = cs.portBase + bank_idx * cs.portsPerBank;
+        if (cs.isCache && words > 1 &&
+            (addr / cs.lineBytes) !=
+                ((addr + words * 4 - 1) / cs.lineBytes))
+            fl |= kEvStraddle;
     }
-    cd.depStart[n] = dep_cursor;
 
     // ---- dependents CSR (consumer ids ascending per producer) ------
+    const uint32_t num_deps = cd.depStart[n];
     cd.depdStart.assign(n + 1, 0);
-    for (uint32_t k = 0; k < dep_cursor; ++k)
-        ++cd.depdStart[cd.deps[k] + 1];
+    for (uint32_t id = 0; id < n; ++id)
+        for (uint32_t k = cd.depStart[id]; k < cd.depStart[id + 1]; ++k) {
+            muir_assert(cd.deps[k] < id,
+                        "DDG dep not earlier than event");
+            ++cd.depdStart[cd.deps[k] + 1];
+        }
     for (uint32_t i = 1; i <= n; ++i)
         cd.depdStart[i] += cd.depdStart[i - 1];
-    cd.dependents.resize(dep_cursor);
-    {
-        std::vector<uint32_t> cursor(cd.depdStart.begin(),
-                                     cd.depdStart.end() - 1);
-        for (uint32_t id = 0; id < n; ++id)
-            for (uint32_t k = cd.depStart[id]; k < cd.depStart[id + 1];
-                 ++k)
-                cd.dependents[cursor[cd.deps[k]]++] = id;
-    }
-    return cd;
+    cd.dependents.resize(num_deps);
+    std::vector<uint32_t> cursor(cd.depdStart.begin(),
+                                 cd.depdStart.end() - 1);
+    for (uint32_t id = 0; id < n; ++id)
+        for (uint32_t k = cd.depStart[id]; k < cd.depStart[id + 1]; ++k)
+            cd.dependents[cursor[cd.deps[k]]++] = id;
 }
 
 template <typename T>
@@ -250,60 +195,57 @@ vecBytes(const std::vector<T> &v)
 } // namespace
 
 CompiledDdg
-compileDdg(const uir::Accelerator &accel, const Ddg &ddg)
+compileDdg(CompiledDdg record)
 {
+    muir_assert(record.design != nullptr, "compileDdg: no design");
     // Self-metered like scheduleDdg: no sink installed means no clock
     // reads and zero registry traffic.
     metrics::Registry *meter = metrics::sink();
-    if (!meter)
-        return compileImpl(accel, ddg);
+    if (!meter) {
+        compileImpl(record);
+        return record;
+    }
     auto t0 = std::chrono::steady_clock::now();
-    CompiledDdg cd = compileImpl(accel, ddg);
+    compileImpl(record);
     std::chrono::duration<double, std::milli> wall =
         std::chrono::steady_clock::now() - t0;
     meter->timerAdd("sim.compile_ddg", wall.count());
-    return cd;
+    return record;
 }
 
-CompiledDdg
-compileDdg(const uir::Accelerator &accel,
-           std::shared_ptr<const Ddg> ddg)
+void
+CompiledDdg::shrinkToFit()
 {
-    muir_assert(ddg != nullptr, "compileDdg: null Ddg");
-    CompiledDdg cd = compileDdg(accel, *ddg);
-    cd.retained = std::move(ddg);
-    return cd;
+    depStart.shrink_to_fit();
+    deps.shrink_to_fit();
+    memEdge.shrink_to_fit();
+    addr.shrink_to_fit();
+    nodeOf.shrink_to_fit();
+    invocation.shrink_to_fit();
+    queueDep.shrink_to_fit();
+    words.shrink_to_fit();
+    flags.shrink_to_fit();
+    invocations.shrink_to_fit();
 }
 
 size_t
 CompiledDdg::bytes() const
 {
     size_t total = vecBytes(depStart) + vecBytes(deps) +
-                   vecBytes(depdStart) + vecBytes(dependents) +
-                   vecBytes(addr) + vecBytes(nodeOf) +
-                   vecBytes(invocation) + vecBytes(queueDep) +
-                   vecBytes(initSlot) + vecBytes(latency) +
-                   vecBytes(initInterval) + vecBytes(tile) +
+                   memEdge.capacity() / 8 + vecBytes(depdStart) +
+                   vecBytes(dependents) + vecBytes(addr) +
+                   vecBytes(nodeOf) + vecBytes(invocation) +
+                   vecBytes(queueDep) + vecBytes(initSlot) +
+                   vecBytes(latency) + vecBytes(initInterval) +
                    vecBytes(junctionPortBase) +
                    vecBytes(junctionPorts) + vecBytes(bankPortBase) +
-                   vecBytes(beats) + vecBytes(words) +
-                   vecBytes(taskOf) + vecBytes(structOf) +
-                   vecBytes(flags) + vecBytes(structs) +
-                   vecBytes(nodes);
+                   vecBytes(beats) + vecBytes(words) + vecBytes(taskOf) +
+                   vecBytes(structOf) + vecBytes(flags) +
+                   vecBytes(structs) + vecBytes(nodes) +
+                   vecBytes(invocations);
     total += tasks.capacity() * sizeof(CompiledTask);
     for (const auto &t : tasks)
         total += t.statPrefix.capacity();
-    return total;
-}
-
-size_t
-ddgBytes(const Ddg &ddg)
-{
-    size_t total = ddg.events().capacity() * sizeof(DynEvent) +
-                   ddg.invocations().capacity() * sizeof(Invocation);
-    for (const auto &e : ddg.events())
-        total += e.deps.capacity() * sizeof(uint64_t) +
-                 e.memDeps.capacity() * sizeof(uint64_t);
     return total;
 }
 

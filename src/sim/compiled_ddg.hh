@@ -1,48 +1,50 @@
 /**
  * @file
- * The frozen, replay-optimized form of a dynamic dependence graph.
+ * The dynamic dependence graph (DDG): the record of one functional
+ * execution of a μIR accelerator, in the one flat form both the
+ * recorder and the timing replay use.
  *
- * The builder-friendly `Ddg` is what the functional executor grows —
- * one `DynEvent` per firing with its own heap-allocated dependency
- * vectors. Replaying it at speed wants the opposite layout: a
- * `CompiledDdg` is an immutable struct-of-arrays freeze of one Ddg
- * against one Accelerator, with
+ * The functional executor (sim/exec.hh) appends every dynamic node
+ * firing straight into the struct-of-arrays columns below: the deps
+ * CSR in recording order with a memory-ordering flag per edge, the
+ * dense node id, invocation, address, words, flags and queue dep of
+ * each event, and the invocation table. compileDdg then derives, in
+ * one pass over the record, everything the scheduler's hot loop would
+ * otherwise look up per event:
  *
- *  - both adjacency directions in CSR form (deps *and* dependents),
- *    built once instead of on every replay;
- *  - per-event attributes packed into flat parallel arrays;
- *  - every pointer-keyed lookup the scheduler's hot loop used to do
- *    resolved ahead of time into dense indices: task / node /
- *    structure ids, the round-robin tile, the in-order-initiation
- *    slot, the junction and bank port-file ranges, the bank index
- *    derived from the address, and the static latency / initiation
- *    interval of the fired node.
+ *  - the dependents CSR (the reverse adjacency), built once instead
+ *    of on every replay;
+ *  - dense task / structure ids, the round-robin tile, the
+ *    in-order-initiation slot, the junction and bank port-file
+ *    ranges, the bank index derived from the address, and the static
+ *    latency / initiation interval of the fired node.
  *
- * A CompiledDdg is backed by a handful of flat allocations (see
- * bytes()) and is strictly read-only after compileDdg returns, so any
- * number of concurrent replays may share one instance — the same
+ * Invariant: every dependency references an earlier event id, so a
+ * single linear pass in id order is a valid topological schedule.
+ *
+ * A compiled CompiledDdg is strictly read-only, so any number of
+ * concurrent replays may share one instance — the same
  * const-correctness contract the shared `uir::Accelerator` follows
- * (sim/run_context.hh). µserve caches one per design and replays it
- * from every worker.
- *
- * Lifetime: the compiled index borrows the Accelerator (node /
- * structure pointers are retained for the trace and profile hooks)
- * and the source Ddg (hang diagnosis and µprof post-processing read
- * it). The shared_ptr overload of compileDdg retains the Ddg; the
- * reference overload requires the caller to keep both alive.
+ * (sim/run_context.hh). μserve caches one per design and replays it
+ * from every worker. It borrows the Accelerator (node / structure
+ * pointers are kept for the trace and profile hooks), which must
+ * outlive it; it owns everything else, so hang diagnosis, μprof and
+ * μscope read it directly.
  */
 #pragma once
 
 #include <cstdint>
-#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
-#include "sim/ddg.hh"
+#include "uir/accelerator.hh"
 
 namespace muir::sim
 {
 
+/** Sentinel for "no event" in 64-bit event-id fields. */
+inline constexpr uint64_t kNoEvent = ~uint64_t(0);
 /** Sentinel for "no entry" in the 32-bit id arrays. */
 inline constexpr uint32_t kNoId32 = ~uint32_t(0);
 /** Sentinel for "no entry" in the 16-bit id arrays. */
@@ -53,10 +55,23 @@ enum : uint8_t
 {
     kEvLoad = 1u << 0,
     kEvStore = 1u << 1,
+    /** First event of its invocation. */
     kEvEntry = 1u << 2,
+    /** Synthetic completion or carried-value latch (no node). */
     kEvCompletion = 1u << 3,
     /** Multi-word access straddles a cache line (second tag probe). */
     kEvStraddle = 1u << 4,
+};
+
+/** One dynamic task invocation. */
+struct Invocation
+{
+    const uir::Task *task = nullptr;
+    /** Invocation sequence number within the task (for tile RR). */
+    uint32_t seqInTask = 0;
+    /** First event of the invocation (gated by queue backpressure);
+     *  kNoId32 when it fired nothing but its completion. */
+    uint32_t entryEvent = kNoId32;
 };
 
 /** One hardware structure with its scheduling geometry denormalized. */
@@ -87,38 +102,55 @@ struct CompiledTask
 };
 
 /**
- * The immutable struct-of-arrays replay index. All per-event arrays
- * have numEvents entries; fields that only apply to a subset of
- * events (memory ops, completions) hold sentinels elsewhere.
+ * The struct-of-arrays DDG. All per-event arrays have numEvents
+ * entries; fields that only apply to a subset of events (memory ops,
+ * completions) hold sentinels elsewhere. The recorded columns are
+ * filled by the executor; the derived ones by compileDdg.
  */
 struct CompiledDdg
 {
-    /** @name CSR adjacency (both directions) @{ */
+    /** @name Recorded: CSR deps @{ */
     /** deps of event e: deps[depStart[e] .. depStart[e+1]), in the
      *  original recording order. */
     std::vector<uint32_t> depStart;
     std::vector<uint32_t> deps;
+    /** memEdge[k]: deps[k] exists only to order conflicting memory
+     *  accesses (RAW/WAW/WAR). The conflict observer computes
+     *  happens-before over the other edges — two overlapping accesses
+     *  ordered by nothing but a memory edge are a dynamic race. */
+    std::vector<bool> memEdge;
+    /** @} */
+
+    /** @name Recorded: per-event attributes @{ */
+    std::vector<uint64_t> addr;
+    /** Dense node id (index into nodes); kNoId32 for completions. */
+    std::vector<uint32_t> nodeOf;
+    std::vector<uint32_t> invocation;
+    /**
+     * When dispatch stalled on a full task queue, the dep (also in
+     * deps) that frees the queue slot — the completion of invocation
+     * seq - queueDepth·tiles; kNoId32 otherwise. μprof uses it to
+     * attribute "queue full" wait cycles apart from operand waits.
+     */
+    std::vector<uint32_t> queueDep;
+    std::vector<uint16_t> words;
+    std::vector<uint8_t> flags;
+    /** @} */
+
+    /** @name Derived by compileDdg: dependents CSR @{ */
     /** dependents of event e: dependents[depdStart[e] ..
      *  depdStart[e+1]), ascending by consumer id. */
     std::vector<uint32_t> depdStart;
     std::vector<uint32_t> dependents;
     /** @} */
 
-    /** @name Packed per-event attributes @{ */
-    std::vector<uint64_t> addr;
-    /** Dense node id (index into nodes); kNoId32 for completions. */
-    std::vector<uint32_t> nodeOf;
-    std::vector<uint32_t> invocation;
-    /** Queue-backpressure dep (also present in deps); kNoId32 none. */
-    std::vector<uint32_t> queueDep;
+    /** @name Derived by compileDdg: per-event scheduling geometry @{ */
     /** In-order-initiation slot: index into the per-run node-free
      *  file (node base + tile); kNoId32 for completions. */
     std::vector<uint32_t> initSlot;
     /** Static node latency (memory access cost is added at replay). */
     std::vector<uint32_t> latency;
     std::vector<uint32_t> initInterval;
-    /** Round-robin tile: invocation seq mod task tiles. */
-    std::vector<uint32_t> tile;
     /** Junction port-file range for this access's direction (read
      *  ports for loads, write ports for stores). */
     std::vector<uint32_t> junctionPortBase;
@@ -127,56 +159,75 @@ struct CompiledDdg
     std::vector<uint32_t> bankPortBase;
     /** Port beats the access occupies (words over the wide width). */
     std::vector<uint32_t> beats;
-    std::vector<uint16_t> words;
     /** Dense task id of the fired node; kNoId16 for completions. */
     std::vector<uint16_t> taskOf;
     /** Dense structure id of the access; kNoId16 for non-memory. */
     std::vector<uint16_t> structOf;
-    std::vector<uint8_t> flags;
     /** @} */
 
-    /** @name Resolved design tables @{ */
+    /** @name Design tables @{ */
+    /** Recorded: dense node id -> live node (trace rows, µprof). */
+    std::vector<const uir::Node *> nodes;
+    /** Recorded: one entry per dynamic task invocation. */
+    std::vector<Invocation> invocations;
     std::vector<CompiledTask> tasks;
     std::vector<CompiledStruct> structs;
-    /** Dense node id -> live node (trace rows, µprof hooks). */
-    std::vector<const uir::Node *> nodes;
     /** @} */
 
     uint32_t numEvents = 0;
-    uint32_t numInvocations = 0;
     /** Size of the per-run in-order-initiation free file. */
     uint32_t initSlots = 0;
     /** Size of the per-run port free file (junctions + banks). */
     uint32_t portSlots = 0;
 
-    /** Design this index was compiled against (identity-checked by
-     *  the reuse paths). */
+    /** Design this graph was recorded on (identity-checked by the
+     *  reuse paths). */
     const uir::Accelerator *design = nullptr;
-    /** The source record (hang diagnosis, µprof post-processing). */
-    const Ddg *source = nullptr;
-    /** Set by the shared_ptr overload: keeps the source alive. */
-    std::shared_ptr<const Ddg> retained;
+
+    /** The deps of event @p e, in recording order. */
+    std::span<const uint32_t>
+    depsOf(uint32_t e) const
+    {
+        return {deps.data() + depStart[e], deps.data() + depStart[e + 1]};
+    }
+
+    /** Static node of event @p e; nullptr for completions/latches. */
+    const uir::Node *
+    node(uint32_t e) const
+    {
+        return nodeOf[e] == kNoId32 ? nullptr : nodes[nodeOf[e]];
+    }
+
+    /** Round-robin tile of node event @p e: invocation seq mod task
+     *  tiles (folded into initSlot for the replay itself). */
+    uint32_t
+    tileOf(uint32_t e) const
+    {
+        return invocations[invocation[e]].seqInTask %
+               tasks[taskOf[e]].tiles;
+    }
+
+    /** Task whose invocation event @p e belongs to. */
+    const uir::Task *
+    taskOfEvent(uint32_t e) const
+    {
+        return invocations[invocation[e]].task;
+    }
+
+    /** Drop the recorder's growth slack (for indexes kept for reuse:
+     *  their footprint is what bytes() reports). */
+    void shrinkToFit();
 
     /** Total heap bytes behind the flat arrays (layout accounting). */
     size_t bytes() const;
 };
 
 /**
- * Freeze @p ddg into its replay form. Asserts the Ddg invariant that
- * every dependency references an earlier event. The result borrows
- * @p accel and @p ddg: both must outlive it.
+ * Derive the replay columns of a finished record (see the file
+ * comment) and return it. The recorded columns move into place
+ * untouched. Asserts the invariant that every dependency references
+ * an earlier event. The result borrows record.design.
  */
-CompiledDdg compileDdg(const uir::Accelerator &accel, const Ddg &ddg);
-
-/** As above, but the compiled index retains the source record. */
-CompiledDdg compileDdg(const uir::Accelerator &accel,
-                       std::shared_ptr<const Ddg> ddg);
-
-/**
- * Heap bytes behind the builder-form record (events, dependency
- * vectors, invocations) — the microbench's bytes/event comparison
- * against CompiledDdg::bytes().
- */
-size_t ddgBytes(const Ddg &ddg);
+CompiledDdg compileDdg(CompiledDdg record);
 
 } // namespace muir::sim

@@ -5,8 +5,9 @@
  *
  * The executor records every dynamic memory access and every
  * dependence that orders events — data edges, spawn/sync edges, queue
- * backpressure — plus, separately, the RAW/WAW/WAR edges it adds just
- * to keep conflicting accesses in program order (DynEvent::memDeps).
+ * backpressure — plus the RAW/WAW/WAR edges it adds just to keep
+ * conflicting accesses in program order, flagged as such
+ * (CompiledDdg::memEdge).
  * Real hardware provides no such ordering for free: two overlapping
  * accesses (at least one a store) whose only ordering is a memory
  * edge are a data race the microarchitecture may resolve either way.
@@ -16,7 +17,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "sim/ddg.hh"
+#include "sim/compiled_ddg.hh"
 
 namespace muir::sim
 {
@@ -38,10 +39,11 @@ struct MemConflict
  * Scan a recorded execution for overlapping accesses (>= 1 store)
  * unordered by any non-memory dependence.
  *
- * @param ddg           The execution record (UirExecutor::ddg()).
+ * @param ddg           The execution record (UirExecutor::record()
+ *                      or a compiled DDG).
  * @param max_conflicts Stop after this many findings.
  */
-std::vector<MemConflict> findConflicts(const Ddg &ddg,
+std::vector<MemConflict> findConflicts(const CompiledDdg &ddg,
                                        size_t max_conflicts = 16);
 
 } // namespace muir::sim

@@ -14,42 +14,39 @@ using uir::Node;
 using uir::NodeKind;
 using uir::Task;
 
-uint32_t
-Ddg::beginInvocation(const uir::Task *task)
-{
-    Invocation inv;
-    inv.task = task;
-    inv.seqInTask = seqCounters_[task]++;
-    invocations_.push_back(inv);
-    return static_cast<uint32_t>(invocations_.size() - 1);
-}
-
-uint64_t
-Ddg::addEvent(DynEvent event)
-{
-    uint64_t id = events_.size();
-    Invocation &inv = invocations_.at(event.invocation);
-    if (inv.entryEvent == kNoEvent && !event.isCompletion) {
-        inv.entryEvent = id;
-        event.isEntry = true;
-    }
-    events_.push_back(std::move(event));
-    return id;
-}
-
 UirExecutor::UirExecutor(const uir::Accelerator &accel,
                          ir::MemoryImage &mem, bool record_ddg)
     : accel_(accel), mem_(mem), record_(record_ddg)
 {
+    if (!record_)
+        return;
+    rec_.design = &accel;
+    rec_.depStart.push_back(0);
+    size_t words = (mem.sizeBytes() + 3) / 4;
+    lastStore_.assign(words, kNoId32);
+    readHead_.assign(words, kNoId32);
+    readTail_.assign(words, kNoId32);
 }
 
-const std::vector<Node *> &
-UirExecutor::orderOf(const Task &task)
+UirExecutor::TaskState &
+UirExecutor::stateOf(const Task &task)
 {
-    auto it = orders_.find(&task);
-    if (it == orders_.end())
-        it = orders_.emplace(&task, task.executionOrder()).first;
-    return it->second;
+    auto [it, fresh] = tasks_.try_emplace(&task);
+    TaskState &st = it->second;
+    if (!fresh)
+        return st;
+    st.order = task.executionOrder();
+    for (const auto &n : task.nodes())
+        st.numIds = std::max(st.numIds, n->id() + 1);
+    if (record_) {
+        st.denseId.assign(st.numIds, kNoId32);
+        for (const auto &n : task.nodes()) {
+            st.denseId[n->id()] =
+                static_cast<uint32_t>(rec_.nodes.size());
+            rec_.nodes.push_back(n.get());
+        }
+    }
+    return st;
 }
 
 RuntimeValue
@@ -98,24 +95,86 @@ UirExecutor::guardOn(Ctx &ctx, const Node &node)
     return valueOf(ctx, node.guard()).asInt() != 0;
 }
 
+void
+UirExecutor::addDep(uint64_t d, bool mem)
+{
+    if (d == kNoEvent)
+        return;
+    rec_.deps.push_back(static_cast<uint32_t>(d));
+    rec_.memEdge.push_back(mem);
+    seen_[d] = rec_.numEvents;
+}
+
+void
+UirExecutor::addUniqueDep(uint64_t d, bool mem)
+{
+    if (d != kNoEvent && seen_[d] != rec_.numEvents)
+        addDep(d, mem);
+}
+
 uint64_t
-UirExecutor::emit(Ctx &ctx, const Node *node, std::vector<uint64_t> deps)
+UirExecutor::closeEvent(const Ctx &ctx, const Node *node, uint8_t flags,
+                        uint64_t addr, unsigned words, uint64_t queue_dep)
+{
+    const uint32_t id = rec_.numEvents;
+    muir_assert(id + 1 < kNoId32 && rec_.deps.size() < kNoId32,
+                "DDG: %u events exceed the 32-bit id space", id);
+    uint32_t dense = kNoId32;
+    if (node) {
+        Invocation &inv = rec_.invocations[ctx.inv];
+        if (inv.entryEvent == kNoId32) {
+            inv.entryEvent = id;
+            flags |= kEvEntry;
+        }
+        dense = ctx.state->denseId[node->id()];
+    } else {
+        flags |= kEvCompletion;
+    }
+    rec_.nodeOf.push_back(dense);
+    rec_.invocation.push_back(ctx.inv);
+    rec_.addr.push_back(addr);
+    rec_.words.push_back(static_cast<uint16_t>(words));
+    rec_.flags.push_back(flags);
+    rec_.queueDep.push_back(queue_dep == kNoEvent
+                                ? kNoId32
+                                : static_cast<uint32_t>(queue_dep));
+    rec_.depStart.push_back(static_cast<uint32_t>(rec_.deps.size()));
+    seen_.push_back(kNoId32);
+    ++rec_.numEvents;
+    return id;
+}
+
+void
+UirExecutor::addReader(uint64_t word, uint32_t id)
+{
+    uint32_t r = static_cast<uint32_t>(readers_.size());
+    readers_.push_back({id, kNoId32});
+    if (readHead_[word] == kNoId32)
+        readHead_[word] = r;
+    else
+        readers_[readTail_[word]].next = r;
+    readTail_[word] = r;
+}
+
+uint64_t
+UirExecutor::emit(Ctx &ctx, const Node *node)
 {
     if (!record_)
         return kNoEvent;
-    DynEvent ev;
-    ev.node = node;
-    ev.invocation = ctx.inv;
-    // Drop missing deps and duplicates (cheap linear dedupe: deps are
-    // tiny).
-    for (uint64_t d : deps) {
-        if (d == kNoEvent)
-            continue;
-        if (std::find(ev.deps.begin(), ev.deps.end(), d) != ev.deps.end())
-            continue;
-        ev.deps.push_back(d);
-    }
-    return ddg_.addEvent(std::move(ev));
+    for (uint64_t d : deps_)
+        addUniqueDep(d);
+    deps_.clear();
+    return closeEvent(ctx, node);
+}
+
+void
+UirExecutor::stageInputs(Ctx &ctx, const Node &node)
+{
+    deps_.clear();
+    for (const auto &ref : node.inputs())
+        deps_.push_back(eventOf(ctx, ref));
+    if (node.guard().valid())
+        deps_.push_back(eventOf(ctx, node.guard()));
 }
 
 std::vector<RuntimeValue>
@@ -136,25 +195,30 @@ UirExecutor::invoke(const Task &task, const std::vector<RuntimeValue> &args,
                 "task %s: %zu args for %zu live-ins", task.name().c_str(),
                 args.size(), task.liveIns().size());
 
+    TaskState &st = stateOf(task);
     Ctx ctx;
     ctx.task = &task;
-    ctx.inv = record_ ? ddg_.beginInvocation(&task) : 0;
-    uint64_t my_seq =
-        record_ ? ddg_.invocations()[ctx.inv].seqInTask : 0;
-    unsigned max_id = 0;
-    for (const auto &n : task.nodes())
-        max_id = std::max(max_id, n->id());
-    ctx.vals.assign(max_id + 1, {});
-    ctx.evs.assign(max_id + 1, kNoEvent);
+    ctx.state = &st;
+    uint32_t my_seq = 0;
+    if (record_) {
+        my_seq = st.nextSeq++;
+        ctx.inv = static_cast<uint32_t>(rec_.invocations.size());
+        rec_.invocations.push_back({&task, my_seq, kNoId32});
+    }
+    ctx.vals.assign(st.numIds, {});
+    ctx.evs.assign(st.numIds, kNoEvent);
 
-    const auto &order = orderOf(task);
+    const auto &order = st.order;
 
     // Interface and constant nodes evaluate once per invocation.
     for (const Node *n : order) {
         switch (n->kind()) {
           case NodeKind::LiveIn:
             ctx.vals[n->id()] = {args[n->liveIndex()]};
-            ctx.evs[n->id()] = emit(ctx, n, {dispatch_event});
+            if (record_) {
+                addDep(dispatch_event);
+                ctx.evs[n->id()] = closeEvent(ctx, n);
+            }
             ++firings_;
             break;
           case NodeKind::ConstNode:
@@ -201,17 +265,20 @@ UirExecutor::invoke(const Task &task, const std::vector<RuntimeValue> &args,
         uint64_t prev_lc_event = kNoEvent;
         if (record_) {
             unsigned tiles = std::max(1u, task.numTiles());
-            auto &exits = loopExits_[&task];
             if (my_seq >= tiles)
-                seed_deps.push_back(exits.at(my_seq - tiles));
+                seed_deps.push_back(st.loopExits.at(my_seq - tiles));
         }
         uint64_t last_iter_lc = kNoEvent;
         while (iv < end) {
             // LoopControl fires: iv advances along the control-only
             // recurrence (prev control event), NOT the carried chain.
-            std::vector<uint64_t> lc_deps = seed_deps;
-            lc_deps.push_back(prev_lc_event);
-            uint64_t lc_event = emit(ctx, lc, std::move(lc_deps));
+            uint64_t lc_event = kNoEvent;
+            if (record_) {
+                for (uint64_t d : seed_deps)
+                    addUniqueDep(d);
+                addUniqueDep(prev_lc_event);
+                lc_event = closeEvent(ctx, lc);
+            }
             ++firings_;
             if (inj_)
                 inj_->checkFirings(firings_);
@@ -220,18 +287,12 @@ UirExecutor::invoke(const Task &task, const std::vector<RuntimeValue> &args,
             // Carried-value latches: value k becomes available when
             // the control fires AND its previous producer finished.
             ctx.lcCarried.assign(carried, kNoEvent);
-            for (unsigned k = 0; k < carried; ++k) {
-                if (!record_)
-                    continue;
-                DynEvent latch;
-                latch.invocation = ctx.inv;
-                latch.isCompletion = true; // Pure register: 0 latency.
-                if (lc_event != kNoEvent)
-                    latch.deps.push_back(lc_event);
-                if (carried_srcs[k] != kNoEvent &&
-                    carried_srcs[k] != lc_event)
-                    latch.deps.push_back(carried_srcs[k]);
-                ctx.lcCarried[k] = ddg_.addEvent(std::move(latch));
+            // Latches are completion-like: a pure register, 0 latency.
+            for (unsigned k = 0; record_ && k < carried; ++k) {
+                addDep(lc_event);
+                if (carried_srcs[k] != lc_event)
+                    addDep(carried_srcs[k]);
+                ctx.lcCarried[k] = closeEvent(ctx, nullptr);
             }
 
             std::vector<RuntimeValue> lc_outs;
@@ -255,23 +316,24 @@ UirExecutor::invoke(const Task &task, const std::vector<RuntimeValue> &args,
         }
 
         // Final (failing) bound check: makes exit values available.
-        std::vector<uint64_t> exit_deps = seed_deps;
-        exit_deps.push_back(prev_lc_event);
-        for (uint64_t e : carried_srcs)
-            exit_deps.push_back(e);
-        uint64_t exit_event = emit(ctx, lc, std::move(exit_deps));
-        ++firings_;
-        ctx.tail.push_back(exit_event);
+        uint64_t exit_event = kNoEvent;
         if (record_) {
-            auto &exits = loopExits_[&task];
-            muir_assert(exits.size() == my_seq,
+            for (uint64_t d : seed_deps)
+                addUniqueDep(d);
+            addUniqueDep(prev_lc_event);
+            for (uint64_t e : carried_srcs)
+                addUniqueDep(e);
+            exit_event = closeEvent(ctx, lc);
+            muir_assert(st.loopExits.size() == my_seq,
                         "loop invocation order violated");
             // Hand-off point for the next invocation on this tile: the
             // last iteration's control issue (the failing check shares
             // the drain with the successor).
-            exits.push_back(last_iter_lc != kNoEvent ? last_iter_lc
-                                                     : exit_event);
+            st.loopExits.push_back(last_iter_lc != kNoEvent ? last_iter_lc
+                                                            : exit_event);
         }
+        ++firings_;
+        ctx.tail.push_back(exit_event);
         ctx.lcCarried.clear();
         std::vector<RuntimeValue> final_outs;
         final_outs.push_back(RuntimeValue::makeInt(iv));
@@ -296,24 +358,19 @@ UirExecutor::invoke(const Task &task, const std::vector<RuntimeValue> &args,
     InvocationResult result;
     for (Node *out : task.liveOuts()) {
         result.liveOutValues.push_back(valueOf(ctx, {out, 0}));
-        result.liveOutEvents.push_back(ctx.evs[out->id()]);
         ctx.tail.push_back(ctx.evs[out->id()]);
     }
     // Synthetic completion event covering the whole invocation subtree.
     if (record_) {
-        DynEvent done;
-        done.invocation = ctx.inv;
-        done.isCompletion = true;
         std::sort(ctx.tail.begin(), ctx.tail.end());
         ctx.tail.erase(std::unique(ctx.tail.begin(), ctx.tail.end()),
                        ctx.tail.end());
         for (uint64_t e : ctx.tail)
-            if (e != kNoEvent)
-                done.deps.push_back(e);
-        if (done.deps.empty() && dispatch_event != kNoEvent)
-            done.deps.push_back(dispatch_event);
-        result.completionEvent = ddg_.addEvent(std::move(done));
-        completions_[&task].push_back(result.completionEvent);
+            addDep(e);
+        if (rec_.deps.size() == rec_.depStart.back())
+            addDep(dispatch_event);
+        result.completionEvent = closeEvent(ctx, nullptr);
+        st.completions.push_back(result.completionEvent);
     }
     result.outstanding = std::move(ctx.outstanding);
     --depth_;
@@ -343,12 +400,8 @@ UirExecutor::evalNode(Ctx &ctx, const Node &node)
     ++firings_;
     if (inj_)
         inj_->checkFirings(firings_);
-    std::vector<uint64_t> deps;
-    deps.reserve(node.numInputs() + 1);
-    for (const auto &ref : node.inputs())
-        deps.push_back(eventOf(ctx, ref));
-    if (node.guard().valid())
-        deps.push_back(eventOf(ctx, node.guard()));
+    if (record_)
+        stageInputs(ctx, node);
 
     switch (node.kind()) {
       case NodeKind::Compute: {
@@ -373,7 +426,7 @@ UirExecutor::evalNode(Ctx &ctx, const Node &node)
             result = ir::applyPureOp(node.op(), operands, node.irType());
         }
         ctx.vals[node.id()] = {std::move(result)};
-        uint64_t id = emit(ctx, &node, std::move(deps));
+        uint64_t id = emit(ctx, &node);
         ctx.evs[node.id()] = id;
         if (inj_)
             inj_->corruptValue(id, ctx.vals[node.id()]);
@@ -413,7 +466,7 @@ UirExecutor::evalNode(Ctx &ctx, const Node &node)
             }
         }
         ctx.vals[node.id()] = {internal.back()};
-        uint64_t id = emit(ctx, &node, std::move(deps));
+        uint64_t id = emit(ctx, &node);
         ctx.evs[node.id()] = id;
         if (inj_)
             inj_->corruptValue(id, ctx.vals[node.id()]);
@@ -423,7 +476,7 @@ UirExecutor::evalNode(Ctx &ctx, const Node &node)
         if (!guardOn(ctx, node)) {
             // Predicated off: fire for flow control, poison the output.
             ctx.vals[node.id()] = {zeroOf(node.irType())};
-            uint64_t id = emit(ctx, &node, std::move(deps));
+            uint64_t id = emit(ctx, &node);
             ctx.evs[node.id()] = id;
             if (inj_)
                 inj_->corruptValue(id, ctx.vals[node.id()]);
@@ -431,21 +484,6 @@ UirExecutor::evalNode(Ctx &ctx, const Node &node)
         }
         uint64_t addr = valueOf(ctx, node.input(0)).asPtr();
         unsigned words = node.accessWords();
-        // Memory-ordering (RAW) edges are recorded separately from the
-        // data deps already in deps: the conflict observer needs to
-        // know which orderings only exist because of the memory
-        // system. An id that is already a data dep stays a data dep.
-        std::vector<uint64_t> mem_deps;
-        if (record_) {
-            for (unsigned w = 0; w < words; ++w) {
-                auto it = lastStore_.find((addr & ~uint64_t(3)) + w * 4);
-                if (it != lastStore_.end() &&
-                    std::find(deps.begin(), deps.end(), it->second) ==
-                        deps.end())
-                    mem_deps.push_back(it->second);
-            }
-            deps.insert(deps.end(), mem_deps.begin(), mem_deps.end());
-        }
         RuntimeValue v;
         const ir::Type &t = node.irType();
         if (inj_) {
@@ -467,56 +505,44 @@ UirExecutor::evalNode(Ctx &ctx, const Node &node)
         }
         ctx.vals[node.id()] = {std::move(v)};
         if (record_) {
-            DynEvent ev;
-            ev.node = &node;
-            ev.invocation = ctx.inv;
-            ev.addr = addr;
-            ev.words = static_cast<uint16_t>(words);
-            ev.isLoad = true;
-            for (uint64_t d : deps)
-                if (d != kNoEvent)
-                    ev.deps.push_back(d);
-            ev.memDeps = std::move(mem_deps);
-            uint64_t id = ddg_.addEvent(std::move(ev));
+            // Data deps as staged (not deduplicated), then the RAW
+            // edges to the last store of each word, flagged as memory
+            // edges: the conflict observer needs to know which
+            // orderings only exist because of the memory system. An
+            // id that is already a data dep stays a data dep.
+            const size_t data_begin = rec_.deps.size();
+            for (uint64_t d : deps_)
+                addDep(d);
+            deps_.clear();
+            const size_t data_end = rec_.deps.size();
+            const uint64_t word0 = addr / 4;
+            muir_assert(word0 + words <= lastStore_.size(),
+                        "load beyond the memory image");
+            for (unsigned w = 0; w < words; ++w) {
+                uint32_t s = lastStore_[word0 + w];
+                auto first = rec_.deps.begin() + data_begin;
+                auto last = rec_.deps.begin() + data_end;
+                if (s != kNoId32 && std::find(first, last, s) == last)
+                    addDep(s, /*mem=*/true);
+            }
+            uint64_t id = closeEvent(ctx, &node, kEvLoad, addr, words);
             ctx.evs[node.id()] = id;
             if (inj_)
                 inj_->corruptValue(id, ctx.vals[node.id()]);
             for (unsigned w = 0; w < words; ++w)
-                readersSince_[(addr & ~uint64_t(3)) + w * 4].push_back(id);
+                addReader(word0 + w, static_cast<uint32_t>(id));
         }
         return;
       }
       case NodeKind::Store: {
         if (!guardOn(ctx, node)) {
-            ctx.evs[node.id()] = emit(ctx, &node, std::move(deps));
+            ctx.evs[node.id()] = emit(ctx, &node);
             ctx.vals[node.id()] = {RuntimeValue::makeInt(0)};
             return;
         }
         RuntimeValue value = valueOf(ctx, node.input(0));
         uint64_t addr = valueOf(ctx, node.input(1)).asPtr();
         unsigned words = node.accessWords();
-        std::vector<uint64_t> mem_deps;
-        if (record_) {
-            auto note = [&](uint64_t d) {
-                if (std::find(deps.begin(), deps.end(), d) ==
-                        deps.end() &&
-                    std::find(mem_deps.begin(), mem_deps.end(), d) ==
-                        mem_deps.end())
-                    mem_deps.push_back(d);
-            };
-            for (unsigned w = 0; w < words; ++w) {
-                uint64_t word = (addr & ~uint64_t(3)) + w * 4;
-                auto sit = lastStore_.find(word);
-                if (sit != lastStore_.end())
-                    note(sit->second); // WAW
-                auto rit = readersSince_.find(word);
-                if (rit != readersSince_.end()) {
-                    for (uint64_t r : rit->second)
-                        note(r); // WAR
-                }
-            }
-            deps.insert(deps.end(), mem_deps.begin(), mem_deps.end());
-        }
         const ir::Type &t = node.input(0).node->outputType(
             node.input(0).out);
         if (inj_) {
@@ -536,25 +562,29 @@ UirExecutor::evalNode(Ctx &ctx, const Node &node)
             mem_.storeInt(addr, t.sizeBytes(), value.i);
         }
         if (record_) {
-            DynEvent ev;
-            ev.node = &node;
-            ev.invocation = ctx.inv;
-            ev.addr = addr;
-            ev.words = static_cast<uint16_t>(words);
-            ev.isStore = true;
-            for (uint64_t d : deps)
-                if (d != kNoEvent &&
-                    std::find(ev.deps.begin(), ev.deps.end(), d) ==
-                        ev.deps.end())
-                    ev.deps.push_back(d);
-            ev.memDeps = std::move(mem_deps);
-            uint64_t id = ddg_.addEvent(std::move(ev));
+            // Data deps, then WAW (last store) and WAR (readers since)
+            // edges per word, all deduplicated; the memory ones are
+            // flagged as such.
+            for (uint64_t d : deps_)
+                addUniqueDep(d);
+            deps_.clear();
+            const uint64_t word0 = addr / 4;
+            muir_assert(word0 + words <= lastStore_.size(),
+                        "store beyond the memory image");
+            for (unsigned w = 0; w < words; ++w) {
+                uint64_t word = word0 + w;
+                if (lastStore_[word] != kNoId32)
+                    addUniqueDep(lastStore_[word], /*mem=*/true);
+                for (uint32_t r = readHead_[word]; r != kNoId32;
+                     r = readers_[r].next)
+                    addUniqueDep(readers_[r].event, /*mem=*/true);
+            }
+            uint64_t id = closeEvent(ctx, &node, kEvStore, addr, words);
             ctx.evs[node.id()] = id;
             ctx.tail.push_back(id);
             for (unsigned w = 0; w < words; ++w) {
-                uint64_t word = (addr & ~uint64_t(3)) + w * 4;
-                lastStore_[word] = id;
-                readersSince_[word].clear();
+                lastStore_[word0 + w] = static_cast<uint32_t>(id);
+                readHead_[word0 + w] = kNoId32;
             }
         }
         ctx.vals[node.id()] = {RuntimeValue::makeInt(0)};
@@ -567,37 +597,31 @@ UirExecutor::evalNode(Ctx &ctx, const Node &node)
             for (unsigned k = 0; k < outs; ++k)
                 zeros.push_back(zeroOf(node.outputType(k)));
             ctx.vals[node.id()] = std::move(zeros);
-            ctx.evs[node.id()] = emit(ctx, &node, std::move(deps));
+            ctx.evs[node.id()] = emit(ctx, &node);
             return;
         }
         // Dispatch event first so the child's entry can depend on it.
         uint64_t dispatch = kNoEvent;
         if (record_) {
-            DynEvent ev;
-            ev.node = &node;
-            ev.invocation = ctx.inv;
             // Task-queue backpressure (§4 Pass 1/2): at most
             // queueDepth x tiles invocations of the callee in flight;
             // dispatch stalls on the completion of the invocation that
             // frees a queue slot.
             const uir::Task *callee = node.callee();
-            auto &done = completions_[callee];
+            const auto &done = stateOf(*callee).completions;
             uint64_t window =
                 uint64_t(std::max(1u, callee->queueDepth())) *
                 std::max(1u, callee->numTiles());
             uint64_t child_seq = done.size();
+            uint64_t queue_dep = kNoEvent;
             if (child_seq >= window) {
-                deps.push_back(done[child_seq - window]);
-                ev.queueDep = done[child_seq - window];
+                queue_dep = done[child_seq - window];
+                deps_.push_back(queue_dep);
             }
-            for (uint64_t d : deps)
-                if (d != kNoEvent &&
-                    std::find(ev.deps.begin(), ev.deps.end(), d) ==
-                        ev.deps.end())
-                    ev.deps.push_back(d);
-            ev.calleeInv =
-                static_cast<uint32_t>(ddg_.invocations().size());
-            dispatch = ddg_.addEvent(std::move(ev));
+            for (uint64_t d : deps_)
+                addUniqueDep(d);
+            deps_.clear();
+            dispatch = closeEvent(ctx, &node, 0, 0, 0, queue_dep);
         }
         std::vector<RuntimeValue> args;
         args.reserve(node.numInputs());
@@ -608,9 +632,11 @@ UirExecutor::evalNode(Ctx &ctx, const Node &node)
         if (node.isSpawn()) {
             ctx.vals[node.id()] = {RuntimeValue::makeInt(1)};
             ctx.evs[node.id()] = dispatch;
-            ctx.outstanding.push_back(child.completionEvent);
-            for (uint64_t e : child.outstanding)
-                ctx.outstanding.push_back(e);
+            if (record_)
+                ctx.outstanding.push_back(child.completionEvent);
+            ctx.outstanding.insert(ctx.outstanding.end(),
+                                   child.outstanding.begin(),
+                                   child.outstanding.end());
         } else {
             std::vector<RuntimeValue> outs_vals;
             if (node.callee()->liveOuts().empty()) {
@@ -626,24 +652,26 @@ UirExecutor::evalNode(Ctx &ctx, const Node &node)
             }
             ctx.vals[node.id()] = std::move(outs_vals);
             ctx.tail.push_back(child.completionEvent);
-            for (uint64_t e : child.outstanding)
-                ctx.outstanding.push_back(e);
+            ctx.outstanding.insert(ctx.outstanding.end(),
+                                   child.outstanding.begin(),
+                                   child.outstanding.end());
         }
         return;
       }
       case NodeKind::SyncNode: {
-        for (uint64_t e : ctx.outstanding)
-            deps.push_back(e);
+        if (record_)
+            deps_.insert(deps_.end(), ctx.outstanding.begin(),
+                         ctx.outstanding.end());
         ctx.outstanding.clear();
         ctx.vals[node.id()] = {RuntimeValue::makeInt(1)};
-        uint64_t id = emit(ctx, &node, std::move(deps));
+        uint64_t id = emit(ctx, &node);
         ctx.evs[node.id()] = id;
         ctx.tail.push_back(id);
         return;
       }
       case NodeKind::LiveOut: {
         ctx.vals[node.id()] = {valueOf(ctx, node.input(0))};
-        ctx.evs[node.id()] = emit(ctx, &node, std::move(deps));
+        ctx.evs[node.id()] = emit(ctx, &node);
         return;
       }
       default:

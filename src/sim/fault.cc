@@ -250,33 +250,30 @@ FaultInjector::checkLoopStep(int64_t step, const std::string &task) const
 // -------------------------------------------------------------- watchdog
 
 HangDiagnosis
-diagnoseHang(const Ddg &ddg, const std::vector<uint32_t> &pending,
+diagnoseHang(const CompiledDdg &ddg, const std::vector<uint32_t> &pending,
              const std::vector<char> &done, uint64_t processed,
              uint64_t dropped_producer, uint64_t dropped_consumer)
 {
     HangDiagnosis diag;
     diag.hung = true;
     diag.scheduled = processed;
-    diag.total = ddg.numEvents();
-    const auto &events = ddg.events();
-    const auto &invs = ddg.invocations();
+    diag.total = ddg.numEvents;
+    const uint32_t n = ddg.numEvents;
 
     auto taskOf = [&](uint64_t id) {
-        return invs[events[id].invocation].task->name();
+        return ddg.taskOfEvent(static_cast<uint32_t>(id))->name();
     };
     auto nodeOf = [&](uint64_t id) -> std::string {
-        const DynEvent &e = events[id];
-        if (e.node)
-            return e.node->name();
-        return e.isCompletion ? "<completion>" : "<latch>";
+        const uir::Node *node = ddg.node(static_cast<uint32_t>(id));
+        return node ? node->name() : "<completion>";
     };
-    auto edgeKind = [&](const DynEvent &e, uint64_t d) -> std::string {
-        if (d == e.queueDep)
+    auto edgeKind = [&](uint32_t e, uint64_t d) -> std::string {
+        if (d == ddg.queueDep[e])
             return "queue";
-        if (std::find(e.memDeps.begin(), e.memDeps.end(), d) !=
-            e.memDeps.end())
-            return "memory";
-        if (e.isEntry)
+        for (uint32_t k = ddg.depStart[e]; k < ddg.depStart[e + 1]; ++k)
+            if (ddg.deps[k] == d && ddg.memEdge[k])
+                return "memory";
+        if (ddg.flags[e] & kEvEntry)
             return "spawn";
         return "data";
     };
@@ -291,7 +288,7 @@ diagnoseHang(const Ddg &ddg, const std::vector<uint32_t> &pending,
         if (dep != kNoEvent) {
             be.depTask = taskOf(dep);
             be.depNode = nodeOf(dep);
-            be.kind = edgeKind(events[id], dep);
+            be.kind = edgeKind(static_cast<uint32_t>(id), dep);
         }
         return be;
     };
@@ -300,14 +297,13 @@ diagnoseHang(const Ddg &ddg, const std::vector<uint32_t> &pending,
     // Starved events first: every dependency completed, yet a token is
     // still missing — the signature of a lost token, and the root cause
     // everything else transitively waits on.
-    for (uint64_t id = 0; id < events.size() &&
-                          diag.blocked.size() < kMaxReported;
+    for (uint64_t id = 0; id < n && diag.blocked.size() < kMaxReported;
          ++id) {
         if (done[id] || pending[id] == 0)
             continue;
-        const DynEvent &e = events[id];
+        auto deps = ddg.depsOf(id);
         bool starved = true;
-        for (uint64_t d : e.deps)
+        for (uint64_t d : deps)
             if (!done[d]) {
                 starved = false;
                 break;
@@ -317,19 +313,17 @@ diagnoseHang(const Ddg &ddg, const std::vector<uint32_t> &pending,
         uint64_t culprit = kNoEvent;
         if (id == dropped_consumer)
             culprit = dropped_producer;
-        else if (!e.deps.empty())
-            culprit = e.deps[0];
+        else if (!deps.empty())
+            culprit = deps[0];
         diag.blocked.push_back(blockedOn(id, culprit, true));
     }
     // Then a sample of transitively blocked waiters.
-    for (uint64_t id = 0; id < events.size() &&
-                          diag.blocked.size() < kMaxReported;
+    for (uint64_t id = 0; id < n && diag.blocked.size() < kMaxReported;
          ++id) {
         if (done[id] || pending[id] == 0)
             continue;
-        const DynEvent &e = events[id];
         uint64_t culprit = kNoEvent;
-        for (uint64_t d : e.deps)
+        for (uint64_t d : ddg.depsOf(id))
             if (!done[d]) {
                 culprit = d;
                 break;
@@ -344,7 +338,7 @@ diagnoseHang(const Ddg &ddg, const std::vector<uint32_t> &pending,
     // walk terminates at a starved event — deadlock here is always
     // starvation, never a circular wait.
     uint64_t cur = kNoEvent;
-    for (uint64_t id = events.size(); id-- > 0;) {
+    for (uint64_t id = n; id-- > 0;) {
         if (!done[id] && pending[id] > 0) {
             cur = id;
             break;
@@ -358,7 +352,7 @@ diagnoseHang(const Ddg &ddg, const std::vector<uint32_t> &pending,
         }
         diag.waitChain.push_back(cur);
         uint64_t next = kNoEvent;
-        for (uint64_t d : events[cur].deps)
+        for (uint64_t d : ddg.depsOf(cur))
             if (!done[d]) {
                 next = d;
                 break;
@@ -431,20 +425,19 @@ struct SiteCatalog
 };
 
 SiteCatalog
-buildCatalog(const Ddg &ddg, const ir::MemoryImage &mem,
+buildCatalog(const CompiledDdg &ddg, const ir::MemoryImage &mem,
              const StatSet &golden_stats)
 {
     SiteCatalog sites;
-    const auto &events = ddg.events();
-    for (uint64_t id = 0; id < events.size(); ++id) {
-        const DynEvent &e = events[id];
-        if (e.deps.empty())
+    for (uint32_t id = 0; id < ddg.numEvents; ++id) {
+        const uint32_t begin = ddg.depStart[id];
+        const uint32_t end = ddg.depStart[id + 1];
+        if (begin == end)
             continue;
         sites.edgeEvents.push_back(id);
-        if (e.node)
+        if (const uir::Node *node = ddg.node(id)) {
             sites.nodeEdgeEvents.push_back(id);
-        if (e.node) {
-            switch (e.node->kind()) {
+            switch (node->kind()) {
               case uir::NodeKind::Compute:
               case uir::NodeKind::Fused:
               case uir::NodeKind::Load:
@@ -457,12 +450,11 @@ buildCatalog(const Ddg &ddg, const ir::MemoryImage &mem,
                 break;
             }
         }
-        if (e.isEntry) {
-            for (unsigned k = 0; k < e.deps.size(); ++k) {
-                const DynEvent &p = events[e.deps[k]];
-                if (p.node &&
-                    p.node->kind() == uir::NodeKind::ChildCall) {
-                    sites.spawnEdges.emplace_back(id, k);
+        if (ddg.flags[id] & kEvEntry) {
+            for (uint32_t k = begin; k < end; ++k) {
+                const uir::Node *p = ddg.node(ddg.deps[k]);
+                if (p && p->kind() == uir::NodeKind::ChildCall) {
+                    sites.spawnEdges.emplace_back(id, k - begin);
                     break;
                 }
             }
@@ -476,10 +468,9 @@ buildCatalog(const Ddg &ddg, const ir::MemoryImage &mem,
 
 bool
 resolvePlan(const FaultSpec &spec, const SiteCatalog &sites,
-            const Ddg &ddg, SplitMix64 &rng, FaultPlan &plan,
+            const CompiledDdg &ddg, SplitMix64 &rng, FaultPlan &plan,
             std::string &error)
 {
-    const auto &events = ddg.events();
     FaultKind kind = spec.kind;
     if (kind == FaultKind::Mix) {
         std::vector<FaultKind> avail;
@@ -511,10 +502,10 @@ resolvePlan(const FaultSpec &spec, const SiteCatalog &sites,
     auto pickEvent = [&](const std::vector<uint64_t> &pool,
                          const char *what) {
         if (spec.site != FaultSpec::kAutoSite) {
-            if (spec.site >= events.size()) {
-                error = fmt("site %llu out of range (%zu events)",
+            if (spec.site >= ddg.numEvents) {
+                error = fmt("site %llu out of range (%u events)",
                             static_cast<unsigned long long>(spec.site),
-                            events.size());
+                            ddg.numEvents);
                 return false;
             }
             plan.event = spec.site;
@@ -528,7 +519,7 @@ resolvePlan(const FaultSpec &spec, const SiteCatalog &sites,
         return true;
     };
     auto pickEdge = [&]() {
-        const auto &deps = events[plan.event].deps;
+        auto deps = ddg.depsOf(plan.event);
         if (deps.empty()) {
             error = "target event has no input edges";
             return false;
@@ -603,13 +594,13 @@ resolvePlan(const FaultSpec &spec, const SiteCatalog &sites,
             sites.spawnEdges.size())];
         plan.event = ev;
         plan.edge = k;
-        plan.producer = events[ev].deps[k];
+        plan.producer = ddg.depsOf(ev)[k];
         return true;
       }
       case FaultKind::LostSync: {
         if (!pickEvent(sites.syncEvents, "sync"))
             return false;
-        const auto &deps = events[plan.event].deps;
+        auto deps = ddg.depsOf(plan.event);
         if (deps.empty()) {
             error = "target sync has no input edges";
             return false;
@@ -621,7 +612,7 @@ resolvePlan(const FaultSpec &spec, const SiteCatalog &sites,
             // completions the sync exists to collect.
             std::vector<unsigned> cands;
             for (unsigned k = 0; k < deps.size(); ++k)
-                if (events[deps[k]].isCompletion)
+                if (ddg.flags[deps[k]] & kEvCompletion)
                     cands.push_back(k);
             plan.edge = cands.empty()
                             ? static_cast<unsigned>(
@@ -772,12 +763,13 @@ runCampaign(const uir::Accelerator &accel, const ir::Module &module,
         bind(golden_mem);
     UirExecutor exec(accel, golden_mem, /*record_ddg=*/true);
     std::vector<RuntimeValue> golden_outs = exec.run(args);
+    const CompiledDdg golden_ddg = compileDdg(exec.takeRecord());
     FaultHarness golden_harness;
     golden_harness.watchdog.enabled = true;
     golden_harness.watchdog.maxCycles = spec.maxCycles;
     RunContext golden_ctx;
     golden_ctx.fault = &golden_harness;
-    TimingResult golden = scheduleDdg(accel, exec.ddg(), golden_ctx);
+    TimingResult golden = scheduleDdg(golden_ddg, golden_ctx);
     if (golden_harness.verdict.hang.tripped()) {
         out.error = "golden (fault-free) run tripped the watchdog:\n" +
                     golden_harness.verdict.hang.render();
@@ -788,7 +780,7 @@ runCampaign(const uir::Accelerator &accel, const ir::Module &module,
     out.maxCycles =
         spec.maxCycles ? spec.maxCycles : golden.cycles * 8 + 4096;
     uint64_t max_firings = exec.firings() * 8 + 65536;
-    SiteCatalog sites = buildCatalog(exec.ddg(), golden_mem,
+    SiteCatalog sites = buildCatalog(golden_ddg, golden_mem,
                                      golden.stats);
 
     const std::string spec_text = renderFaultSpec(spec.fault);
@@ -807,7 +799,7 @@ runCampaign(const uir::Accelerator &accel, const ir::Module &module,
                        uint64_t(i) * 2654435761ull + 1);
         FaultPlan plan;
         std::string site_error;
-        if (!resolvePlan(spec.fault, sites, exec.ddg(), rng, plan,
+        if (!resolvePlan(spec.fault, sites, golden_ddg, rng, plan,
                          site_error)) {
             out.error =
                 "cannot inject '" + spec_text + "': " + site_error;

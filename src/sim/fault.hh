@@ -40,7 +40,7 @@
 #include <vector>
 
 #include "ir/interp.hh"
-#include "sim/ddg.hh"
+#include "sim/compiled_ddg.hh"
 #include "sim/timing.hh"
 #include "support/rng.hh"
 
@@ -244,7 +244,7 @@ struct FaultHarness
  * scheduler dropped a token (injection), the (producer, consumer)
  * pair pins the root-cause edge exactly.
  */
-HangDiagnosis diagnoseHang(const Ddg &ddg,
+HangDiagnosis diagnoseHang(const CompiledDdg &ddg,
                            const std::vector<uint32_t> &pending,
                            const std::vector<char> &done,
                            uint64_t processed,

@@ -99,16 +99,16 @@ unionLength(std::vector<std::pair<uint64_t, uint64_t>> &intervals)
 } // namespace
 
 ProfileResult
-buildProfile(const uir::Accelerator &accel, const Ddg &ddg,
-             const ProfileCollector &collector, uint64_t cycles)
+buildProfile(const CompiledDdg &ddg, const ProfileCollector &collector,
+             uint64_t cycles)
 {
     ProfileResult r;
     r.cycles = cycles;
-    const auto &events = ddg.events();
+    const uint32_t n = ddg.numEvents;
     const auto &costs = collector.events;
-    muir_assert(costs.size() == events.size(),
-                "profile: %zu cost records for %zu events", costs.size(),
-                events.size());
+    muir_assert(costs.size() == n,
+                "profile: %zu cost records for %u events", costs.size(),
+                n);
 
     auto taskProf = [&r](const uir::Task *t) -> TaskProfile & {
         TaskProfile &tp = r.tasks[t->name()];
@@ -120,19 +120,19 @@ buildProfile(const uir::Accelerator &accel, const Ddg &ddg,
     std::map<std::pair<const uir::Task *, uint32_t>,
              std::vector<std::pair<uint64_t, uint64_t>>>
         tileIntervals;
-    for (uint64_t id = 0; id < events.size(); ++id) {
-        const DynEvent &e = events[id];
+    for (uint32_t id = 0; id < n; ++id) {
         const EventCost &c = costs[id];
-        for (uint64_t d : e.deps) {
+        for (uint32_t d : ddg.depsOf(id)) {
             uint64_t slack = c.ready - costs[d].finish;
             unsigned bucket =
                 slack == 0 ? 0u
                            : static_cast<unsigned>(std::bit_width(slack));
             ++r.slackHistogram[bucket];
         }
-        if (e.isCompletion)
+        const uir::Node *node = ddg.node(id);
+        if (!node)
             continue;
-        const uir::Task *task = e.node->parent();
+        const uir::Task *task = node->parent();
         TaskProfile &tp = taskProf(task);
         ++tp.events;
         StallBreakdown sb = rawStalls(c);
@@ -146,18 +146,18 @@ buildProfile(const uir::Accelerator &accel, const Ddg &ddg,
             unionLength(intervals);
 
     // --- Queue occupancy: invocations in flight over time. ---
-    std::vector<uint64_t> completionFinish(ddg.invocations().size(), 0);
-    for (uint64_t id = 0; id < events.size(); ++id)
-        if (events[id].isCompletion)
-            completionFinish[events[id].invocation] = costs[id].finish;
+    std::vector<uint64_t> completionFinish(ddg.invocations.size(), 0);
+    for (uint32_t id = 0; id < n; ++id)
+        if (ddg.flags[id] & kEvCompletion)
+            completionFinish[ddg.invocation[id]] = costs[id].finish;
     std::map<const uir::Task *,
              std::vector<std::pair<uint64_t, int>>>
         occupancyDeltas;
-    for (uint32_t i = 0; i < ddg.invocations().size(); ++i) {
-        const Invocation &inv = ddg.invocations()[i];
+    for (uint32_t i = 0; i < ddg.invocations.size(); ++i) {
+        const Invocation &inv = ddg.invocations[i];
         TaskProfile &tp = taskProf(inv.task);
         ++tp.invocations;
-        if (inv.entryEvent == kNoEvent)
+        if (inv.entryEvent == kNoId32)
             continue;
         uint64_t enter = costs[inv.entryEvent].ready;
         uint64_t leave = std::max(completionFinish[i], enter);
@@ -198,20 +198,21 @@ buildProfile(const uir::Accelerator &accel, const Ddg &ddg,
     // each ready time. Each visited event accounts for [ready, finish]
     // exactly once (its predecessor finishes at ready), so the walk
     // partitions [0, cycles] into execute + stall segments.
-    if (!events.empty()) {
+    if (n > 0) {
         uint64_t cur = 0;
-        for (uint64_t id = 1; id < events.size(); ++id)
+        for (uint32_t id = 1; id < n; ++id)
             if (costs[id].finish > costs[cur].finish)
                 cur = id;
         std::map<const uir::Node *, CritPathEntry> perNode;
         while (cur != kNoEvent) {
-            const DynEvent &e = events[cur];
+            const uir::Node *node = ddg.node(static_cast<uint32_t>(cur));
+            const uint32_t queue_dep = ddg.queueDep[cur];
             const EventCost &c = costs[cur];
             uint64_t next = c.critDep;
-            if (!e.isCompletion) {
-                TaskProfile &tp = taskProf(e.node->parent());
-                CritPathEntry &pe = perNode[e.node];
-                pe.node = e.node;
+            if (node) {
+                TaskProfile &tp = taskProf(node->parent());
+                CritPathEntry &pe = perNode[node];
+                pe.node = node;
                 ++pe.events;
                 uint64_t execute =
                     (c.finish - c.start) - c.missPenalty - c.dramWait;
@@ -231,8 +232,8 @@ buildProfile(const uir::Accelerator &accel, const Ddg &ddg,
                 put(StallClass::CacheMiss, c.missPenalty);
                 put(StallClass::Dram, c.dramWait);
                 uint64_t covered = c.finish - c.ready;
-                if (c.queueWait > 0 && e.queueDep != kNoEvent &&
-                    c.critDep == e.queueDep) {
+                if (c.queueWait > 0 && queue_dep != kNoId32 &&
+                    c.critDep == queue_dep) {
                     // The queue slot, not the operands, gated dispatch:
                     // charge the gap to QueueFull and resume the walk
                     // at the operand chain.
@@ -262,7 +263,6 @@ buildProfile(const uir::Accelerator &accel, const Ddg &ddg,
                       return a.node->id() < b.node->id();
                   });
     }
-    (void)accel;
     return r;
 }
 

@@ -83,7 +83,7 @@ struct StallBreakdown
     StallClass dominant() const;
 };
 
-/** Per-event cost record, parallel to Ddg::events(). */
+/** Per-event cost record, indexed by DDG event id. */
 struct EventCost
 {
     uint64_t ready = 0;
@@ -220,7 +220,7 @@ struct ProfileResult
 };
 
 /** Derive the full profile from one collected run. */
-ProfileResult buildProfile(const uir::Accelerator &accel, const Ddg &ddg,
+ProfileResult buildProfile(const CompiledDdg &ddg,
                            const ProfileCollector &collector,
                            uint64_t cycles);
 

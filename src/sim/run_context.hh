@@ -11,7 +11,7 @@
  * concurrently on different threads provided each run has its own
  * RunContext, its own MemoryImage/UirExecutor, and its own result
  * objects. The shared inputs — `uir::Accelerator`, `ir::Module`, and
- * a recorded `Ddg` — are read-only during replay (scheduleDdg and
+ * a compiled DDG — are read-only during replay (scheduleDdg and
  * UirExecutor take them by const reference and the const API
  * genuinely is const: no hidden caches, no lazy mutation), so sharing
  * one design across N concurrent runs needs no locking.
@@ -56,7 +56,7 @@ struct SimHooks
 
 /**
  * Everything one timing replay reads and writes beyond the shared,
- * immutable (Accelerator, Ddg) pair: observer hooks plus the μfit
+ * immutable (Accelerator, CompiledDdg) pair: observer hooks plus the μfit
  * harness. The harness is the one hook that may legitimately change
  * the schedule — it carries the fault plan to enact and the watchdog
  * budget in, and the verdict out. A default-constructed RunContext

@@ -14,12 +14,8 @@ simulate(const uir::Accelerator &accel, ir::MemoryImage &mem,
     // changes what would be recorded, so the two cannot combine.
     muir_assert(!(options.compiled && options.fault),
                 "simulate: a fault run cannot reuse a compiled DDG");
-    if (options.compiled) {
-        muir_assert(options.compiled->design == &accel,
-                    "simulate: compiled DDG belongs to another design");
-        muir_assert(options.compiled->source,
-                    "simulate: compiled DDG lost its source record");
-    }
+    muir_assert(!options.compiled || options.compiled->design == &accel,
+                "simulate: compiled DDG belongs to another design");
     const bool record = options.compiled == nullptr;
     UirExecutor exec(accel, mem, /*record_ddg=*/record);
     SimResult result;
@@ -54,33 +50,29 @@ simulate(const uir::Accelerator &accel, ir::MemoryImage &mem,
     ctx.hooks.trace = options.trace ? &result.trace : nullptr;
     ctx.hooks.profile = result.profileData.get();
     ctx.fault = use_harness ? &harness : nullptr;
-    TimingResult timing;
-    const Ddg *ddg = nullptr;
-    if (options.compiled) {
-        timing = scheduleDdg(*options.compiled, ctx);
-        ddg = options.compiled->source;
-    } else if (options.keepCompiled) {
-        // Freeze the record behind a shared index the caller can hand
-        // to later runs of the same (design, inputs) pair.
-        auto shared_ddg = std::make_shared<const Ddg>(exec.takeDdg());
-        result.compiled = std::make_shared<const CompiledDdg>(
-            compileDdg(accel, shared_ddg));
-        timing = scheduleDdg(*result.compiled, ctx);
-        ddg = shared_ddg.get();
-    } else {
-        timing = scheduleDdg(accel, exec.ddg(), ctx);
-        ddg = &exec.ddg();
+    std::shared_ptr<CompiledDdg> fresh;
+    if (!options.compiled) {
+        fresh = std::make_shared<CompiledDdg>(
+            compileDdg(exec.takeRecord()));
+        if (options.keepCompiled) {
+            // Hand the index to later runs of the same (design,
+            // inputs) pair; they keep it, so drop the growth slack.
+            fresh->shrinkToFit();
+            result.compiled = fresh;
+        }
     }
+    const CompiledDdg &ddg = options.compiled ? *options.compiled : *fresh;
+    TimingResult timing = scheduleDdg(ddg, ctx);
     result.verdict = std::move(harness.verdict);
     result.cycles = timing.cycles;
     result.stats = std::move(timing.stats);
     if (options.profile)
-        result.profile = std::make_shared<ProfileResult>(buildProfile(
-            accel, *ddg, *result.profileData, result.cycles));
+        result.profile = std::make_shared<ProfileResult>(
+            buildProfile(ddg, *result.profileData, result.cycles));
     if (options.timeline)
-        result.timeline = std::make_shared<Timeline>(buildTimeline(
-            accel, *ddg, *result.profileData, result.cycles,
-            options.timelineWindows));
+        result.timeline = std::make_shared<Timeline>(
+            buildTimeline(ddg, *result.profileData, result.cycles,
+                          options.timelineWindows));
     return result;
 }
 

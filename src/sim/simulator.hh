@@ -45,8 +45,9 @@ struct SimOptions
      * time; handing the compiled one back skips both the recording
      * and the compile. The functional run still happens (outputs /
      * golden checks), just without the record. Must have been
-     * compiled from this accelerator with the source retained;
-     * incompatible with `fault` (an injected run changes the DDG).
+     * recorded on this accelerator (the index is self-contained:
+     * profiles and timelines read it directly); incompatible with
+     * `fault` (an injected run changes the DDG).
      */
     const CompiledDdg *compiled = nullptr;
     /** Compile the recorded DDG and return it in SimResult::compiled

@@ -72,9 +72,8 @@ binUnion(std::vector<uint64_t> &lane, uint64_t width,
 } // namespace
 
 Timeline
-buildTimeline(const uir::Accelerator &accel, const Ddg &ddg,
-              const ProfileCollector &collector, uint64_t cycles,
-              unsigned windows)
+buildTimeline(const CompiledDdg &ddg, const ProfileCollector &collector,
+              uint64_t cycles, unsigned windows)
 {
     Timeline tl;
     tl.cycles = cycles;
@@ -87,18 +86,18 @@ buildTimeline(const uir::Accelerator &accel, const Ddg &ddg,
                       : 1;
     uint64_t width = tl.windowWidth;
 
-    const auto &events = ddg.events();
+    const uint32_t num_events = ddg.numEvents;
     const auto &costs = collector.events;
-    muir_assert(costs.size() == events.size(),
-                "timeline: %zu cost records for %zu events",
-                costs.size(), events.size());
+    muir_assert(costs.size() == num_events,
+                "timeline: %zu cost records for %u events", costs.size(),
+                num_events);
 
     tl.stalls.assign(n, StallBreakdown{});
     tl.eventStarts.assign(n, 0);
     tl.tileBusyCycles.assign(n, 0);
     tl.dramBusyCycles.assign(n, 0);
     tl.dramBytes.assign(n, 0.0);
-    for (const auto &s : accel.structures()) {
+    for (const auto &s : ddg.design->structures()) {
         TimelineStructLane &lane = tl.structures[s->name()];
         lane.banks = s->banks();
         lane.portsPerBank = s->portsPerBank();
@@ -123,9 +122,9 @@ buildTimeline(const uir::Accelerator &accel, const Ddg &ddg,
     std::map<std::pair<const uir::Task *, uint32_t>,
              std::vector<std::pair<uint64_t, uint64_t>>>
         tileIntervals;
-    for (uint64_t id = 0; id < events.size(); ++id) {
-        const DynEvent &e = events[id];
-        if (e.isCompletion)
+    for (uint32_t id = 0; id < num_events; ++id) {
+        const uir::Node *node = ddg.node(id);
+        if (!node)
             continue; // μprof's raw roll-up skips completions too.
         const EventCost &c = costs[id];
 
@@ -155,7 +154,7 @@ buildTimeline(const uir::Accelerator &accel, const Ddg &ddg,
         size_t sw = static_cast<size_t>(c.start / width);
         ++tl.eventStarts[std::min(sw, n - 1)];
         if (c.finish > c.start)
-            tileIntervals[{e.node->parent(), c.tile}].push_back(
+            tileIntervals[{node->parent(), c.tile}].push_back(
                 {c.start, c.finish});
         if (c.structure) {
             auto it = tl.structures.find(c.structure->name());
@@ -188,16 +187,16 @@ buildTimeline(const uir::Accelerator &accel, const Ddg &ddg,
 
     // Task-queue occupancy: integrate invocations-in-flight per
     // window (enter at the entry event's ready, leave at completion).
-    std::vector<uint64_t> completionFinish(ddg.invocations().size(), 0);
-    for (uint64_t id = 0; id < events.size(); ++id)
-        if (events[id].isCompletion)
-            completionFinish[events[id].invocation] = costs[id].finish;
+    std::vector<uint64_t> completionFinish(ddg.invocations.size(), 0);
+    for (uint32_t id = 0; id < num_events; ++id)
+        if (ddg.flags[id] & kEvCompletion)
+            completionFinish[ddg.invocation[id]] = costs[id].finish;
     std::map<const uir::Task *,
              std::vector<std::pair<uint64_t, int>>>
         occupancyDeltas;
-    for (uint32_t i = 0; i < ddg.invocations().size(); ++i) {
-        const Invocation &inv = ddg.invocations()[i];
-        if (inv.entryEvent == kNoEvent)
+    for (uint32_t i = 0; i < ddg.invocations.size(); ++i) {
+        const Invocation &inv = ddg.invocations[i];
+        if (inv.entryEvent == kNoId32)
             continue;
         uint64_t enter = costs[inv.entryEvent].ready;
         uint64_t leave = std::max(completionFinish[i], enter);

@@ -380,7 +380,7 @@ scheduleDdg(const CompiledDdg &cd, RunContext &ctx)
             uint64_t start = std::max(ready, nf);
             uint64_t ii_start = start;
             if (cost) {
-                cost->tile = cd.tile[id];
+                cost->tile = cd.tileOf(id);
                 cost->iiWait = start - ready;
             }
 
@@ -595,10 +595,8 @@ scheduleDdg(const CompiledDdg &cd, RunContext &ctx)
             diag.total = n;
             diag.budget = fault->watchdog.maxCycles;
         } else if (processed < n) {
-            muir_assert(cd.source,
-                        "timing: hang diagnosis needs the source Ddg");
             fault->verdict.hang = diagnoseHang(
-                *cd.source, pending, done, processed,
+                cd, pending, done, processed,
                 (drop_edge || stuck_valid) ? plan->producer : kNoEvent,
                 (drop_edge || stuck_valid) ? plan->event : kNoEvent);
         } else if (stuck_valid && stuck_fired &&
@@ -625,7 +623,7 @@ scheduleDdg(const CompiledDdg &cd, RunContext &ctx)
                     static_cast<unsigned long long>(processed),
                     static_cast<unsigned long>(n));
     }
-    result.stats.set("invocations", cd.numInvocations);
+    result.stats.set("invocations", cd.invocations.size());
 
     // Flush the μmeter scratch: one registry transaction per run.
     if (meter) {
@@ -636,7 +634,7 @@ scheduleDdg(const CompiledDdg &cd, RunContext &ctx)
         meter->add("sim.events", processed);
         meter->add("sim.firings", mstate->firings);
         meter->add("sim.cycles", result.cycles);
-        meter->add("sim.invocations", cd.numInvocations);
+        meter->add("sim.invocations", cd.invocations.size());
         meter->gaugeMax("sim.ready_queue_peak",
                         mstate->queueDepth.maxValue);
         meter->mergeHistogram("sim.ready_queue_depth",
@@ -655,14 +653,6 @@ scheduleDdg(const CompiledDdg &cd, RunContext &ctx)
         meter->add("sim.idle.total_cycles", idle_total);
     }
     return result;
-}
-
-TimingResult
-scheduleDdg(const uir::Accelerator &accel, const Ddg &ddg,
-            RunContext &ctx)
-{
-    CompiledDdg cd = compileDdg(accel, ddg);
-    return scheduleDdg(cd, ctx);
 }
 
 } // namespace muir::sim

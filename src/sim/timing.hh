@@ -10,14 +10,12 @@
  */
 #pragma once
 
-#include "sim/ddg.hh"
+#include "sim/compiled_ddg.hh"
 #include "sim/run_context.hh"
 #include "support/stats.hh"
 
 namespace muir::sim
 {
-
-struct CompiledDdg; // sim/compiled_ddg.hh
 
 /** Timing results and activity counters. */
 struct TimingResult
@@ -40,38 +38,19 @@ struct TimingTraceRow
 };
 
 /**
- * Schedule every event of the DDG; returns total cycles + stats.
+ * Schedule every event of a compiled DDG (sim/compiled_ddg.hh);
+ * returns total cycles + stats.
  *
  * Re-entrant and thread-safe under the RunContext contract
- * (sim/run_context.hh): @p accel and @p ddg are read-only here and
- * may be shared across any number of concurrent calls; @p ctx (and
- * every hook it points to) must be private to this call. All local
- * scheduling state — resource free-lists, cache tags, ready queue —
- * lives on this call's stack.
+ * (sim/run_context.hh): @p compiled is read-only here, so one
+ * instance may be shared by any number of concurrent calls (µserve,
+ * the perf gate, campaigns compile once and replay many times); @p ctx
+ * (and every hook it points to) must be private to this call. All
+ * local scheduling state — resource free-lists, cache tags, ready
+ * queue — lives on this call's stack.
  *
  * A default RunContext is a plain run; see RunContext for the hook
  * semantics and the bit-identical observational guarantee.
- */
-TimingResult scheduleDdg(const uir::Accelerator &accel, const Ddg &ddg,
-                         RunContext &ctx);
-
-/** Plain run: no hooks, no fault harness. */
-inline TimingResult
-scheduleDdg(const uir::Accelerator &accel, const Ddg &ddg)
-{
-    RunContext ctx;
-    return scheduleDdg(accel, ddg, ctx);
-}
-
-/**
- * The scheduler core: replay a precompiled DDG (sim/compiled_ddg.hh).
- * The (accel, ddg) overloads above are thin wrappers that compile and
- * immediately replay; callers that replay the same record repeatedly
- * (µserve, the perf gate, campaigns) compile once and come here.
- *
- * @p compiled is read-only: one instance may be shared by any number
- * of concurrent calls (each with its own RunContext), the same
- * contract as the shared Accelerator.
  */
 TimingResult scheduleDdg(const CompiledDdg &compiled, RunContext &ctx);
 

@@ -332,7 +332,7 @@ TEST(LintRace, ConflictObserverConfirmsStaticRace)
     mem.writeInts(k.in, data);
     sim::UirExecutor exec(*accel, mem);
     exec.run({});
-    auto conflicts = sim::findConflicts(exec.ddg());
+    auto conflicts = sim::findConflicts(exec.record());
     ASSERT_FALSE(conflicts.empty());
     for (const auto &c : conflicts) {
         ASSERT_NE(c.firstNode, nullptr);
@@ -355,7 +355,7 @@ TEST(LintRace, ConflictObserverAgreesBaselineIsClean)
     mem.writeInts(k.in, data);
     sim::UirExecutor exec(*accel, mem);
     exec.run({});
-    EXPECT_TRUE(sim::findConflicts(exec.ddg()).empty());
+    EXPECT_TRUE(sim::findConflicts(exec.record()).empty());
 }
 
 // ---------------------------------------------------------------------

@@ -84,10 +84,10 @@ TEST(Ddg, DepsAlwaysPointBackwards)
     MemoryImage mem(k.m);
     UirExecutor exec(*accel, mem);
     exec.run({});
-    const Ddg &ddg = exec.ddg();
-    ASSERT_GT(ddg.numEvents(), 0u);
-    for (uint64_t id = 0; id < ddg.numEvents(); ++id)
-        for (uint64_t d : ddg.events()[id].deps)
+    const CompiledDdg &ddg = exec.record();
+    ASSERT_GT(ddg.numEvents, 0u);
+    for (uint32_t id = 0; id < ddg.numEvents; ++id)
+        for (uint32_t d : ddg.depsOf(id))
             EXPECT_LT(d, id);
 }
 
@@ -98,14 +98,14 @@ TEST(Ddg, EveryInvocationHasEntryAndCompletion)
     MemoryImage mem(k.m);
     UirExecutor exec(*accel, mem);
     exec.run({});
-    const Ddg &ddg = exec.ddg();
-    std::vector<bool> completed(ddg.invocations().size(), false);
-    for (const auto &e : ddg.events())
-        if (e.isCompletion)
-            completed[e.invocation] = true;
+    const CompiledDdg &ddg = exec.record();
+    std::vector<bool> completed(ddg.invocations.size(), false);
+    for (uint32_t e = 0; e < ddg.numEvents; ++e)
+        if (ddg.flags[e] & kEvCompletion)
+            completed[ddg.invocation[e]] = true;
     for (size_t i = 0; i < completed.size(); ++i) {
         EXPECT_TRUE(completed[i]) << "invocation " << i;
-        EXPECT_NE(ddg.invocations()[i].entryEvent, kNoEvent);
+        EXPECT_NE(ddg.invocations[i].entryEvent, kNoId32);
     }
 }
 
@@ -127,19 +127,118 @@ TEST(Ddg, MemoryRawDependenciesRecorded)
     auto outs = exec.run({});
     EXPECT_EQ(outs.at(0).asInt(), 7);
 
-    uint64_t store_id = kNoEvent, load_id = kNoEvent;
-    for (uint64_t id = 0; id < exec.ddg().numEvents(); ++id) {
-        const auto &e = exec.ddg().events()[id];
-        if (e.isStore)
+    const CompiledDdg &ddg = exec.record();
+    uint32_t store_id = kNoId32, load_id = kNoId32;
+    for (uint32_t id = 0; id < ddg.numEvents; ++id) {
+        if (ddg.flags[id] & kEvStore)
             store_id = id;
-        if (e.isLoad)
+        if (ddg.flags[id] & kEvLoad)
             load_id = id;
     }
-    ASSERT_NE(store_id, kNoEvent);
-    ASSERT_NE(load_id, kNoEvent);
-    const auto &load = exec.ddg().events()[load_id];
-    EXPECT_NE(std::find(load.deps.begin(), load.deps.end(), store_id),
-              load.deps.end());
+    ASSERT_NE(store_id, kNoId32);
+    ASSERT_NE(load_id, kNoId32);
+    auto deps = ddg.depsOf(load_id);
+    auto it = std::find(deps.begin(), deps.end(), store_id);
+    ASSERT_NE(it, deps.end());
+    // The address chains are independent: the RAW edge is the only
+    // ordering, so it is flagged as a memory edge.
+    EXPECT_TRUE(ddg.memEdge[ddg.depStart[load_id] + (it - deps.begin())]);
+}
+
+TEST(Ddg, RepeatedProducersDedupeInFirstOccurrenceOrder)
+{
+    // sel = select(c, d, c): the select's operand events are (c, d, c);
+    // its recorded deps keep the first occurrence of each, in order.
+    Module m("dup");
+    auto *buf = m.addGlobal("buf", Type::i32(), 2);
+    Function *fn = m.addFunction("dup", Type::i32());
+    IRBuilder b(m);
+    b.setInsertPoint(fn->addBlock("entry"));
+    Value *x = b.load(b.gep(buf, b.i32(0)), "x");
+    Value *y = b.load(b.gep(buf, b.i32(1)), "y");
+    Value *c = b.icmp(Op::ICmpSlt, x, b.i32(5), "c");
+    Value *d = b.icmp(Op::ICmpSlt, y, b.i32(5), "d");
+    Value *sel = b.select(c, d, c, "sel");
+    b.ret(b.zext(sel, Type::i32(), "r"));
+    verifyOrDie(m);
+    auto accel = frontend::lowerToUir(m, "dup");
+    MemoryImage mem(m);
+    mem.writeInts(buf, {1, 9});
+    UirExecutor exec(*accel, mem);
+    EXPECT_EQ(exec.run({}).at(0).asInt(), 0);
+
+    const CompiledDdg &ddg = exec.record();
+    auto eventNamed = [&](const std::string &name) {
+        for (uint32_t e = 0; e < ddg.numEvents; ++e)
+            if (ddg.node(e) && ddg.node(e)->name() == name)
+                return e;
+        return kNoId32;
+    };
+    uint32_t ce = eventNamed("c"), de = eventNamed("d");
+    uint32_t se = eventNamed("sel");
+    ASSERT_NE(ce, kNoId32);
+    ASSERT_NE(de, kNoId32);
+    ASSERT_NE(se, kNoId32);
+    ASSERT_EQ(ddg.node(se)->numInputs(), 3u);
+    auto deps = ddg.depsOf(se);
+    EXPECT_EQ(std::vector<uint32_t>(deps.begin(), deps.end()),
+              (std::vector<uint32_t>{ce, de}));
+}
+
+TEST(Ddg, WideSyncTakesEachSpawnCompletionOnceInOrder)
+{
+    // A 4096-spawn parallel loop: the sync collects every spawn
+    // completion exactly once, in spawn order. Its dep list is as wide
+    // as the loop, so a linear duplicate scan per dep would make
+    // recording it quadratic.
+    constexpr int kSpawns = 4096;
+    Module m("spawns");
+    auto *y = m.addGlobal("y", Type::i32(), kSpawns);
+    Function *fn = m.addFunction("spawns", Type::voidTy());
+    IRBuilder b(m);
+    b.setInsertPoint(fn->addBlock("entry"));
+    ForLoop loop(b, "i", b.i32(0), b.i32(kSpawns), b.i32(1),
+                 /*parallel=*/true);
+    b.store(b.add(loop.iv(), b.i32(1)), b.gep(y, loop.iv()));
+    loop.finish();
+    b.ret();
+    verifyOrDie(m);
+    auto accel = frontend::lowerToUir(m, "spawns");
+    MemoryImage mem(m);
+    UirExecutor exec(*accel, mem);
+    exec.run({});
+    EXPECT_EQ(mem.readInts(y)[kSpawns - 1], kSpawns);
+
+    const CompiledDdg &ddg = exec.record();
+    const uir::Task *spawned = nullptr;
+    uint32_t sync = kNoId32;
+    for (uint32_t e = 0; e < ddg.numEvents; ++e) {
+        const uir::Node *n = ddg.node(e);
+        if (n && n->kind() == uir::NodeKind::ChildCall && n->isSpawn())
+            spawned = n->callee();
+        if (n && n->kind() == uir::NodeKind::SyncNode) {
+            ASSERT_EQ(sync, kNoId32) << "one sync expected";
+            sync = e;
+        }
+    }
+    ASSERT_NE(spawned, nullptr);
+    ASSERT_NE(sync, kNoId32);
+
+    // Each spawned invocation's completion is its last event.
+    std::vector<uint32_t> completion(ddg.invocations.size(), kNoId32);
+    for (uint32_t e = 0; e < ddg.numEvents; ++e)
+        completion[ddg.invocation[e]] = e;
+    std::vector<uint32_t> want;
+    for (uint32_t i = 0; i < ddg.invocations.size(); ++i)
+        if (ddg.invocations[i].task == spawned)
+            want.push_back(completion[i]);
+    ASSERT_EQ(want.size(), size_t(kSpawns));
+
+    std::vector<uint32_t> got;
+    for (uint32_t d : ddg.depsOf(sync))
+        if (ddg.taskOfEvent(d) == spawned)
+            got.push_back(d);
+    EXPECT_EQ(got, want);
 }
 
 TEST(Timing, LongerFusionChainsRaiseLatencyModel)
@@ -282,7 +381,8 @@ TEST(Exec, FunctionalOnlyModeSkipsDdg)
     mem.writeInts(k.in, data);
     UirExecutor exec(*accel, mem, /*record_ddg=*/false);
     exec.run({});
-    EXPECT_EQ(exec.ddg().numEvents(), 0u);
+    EXPECT_EQ(exec.record().numEvents, 0u);
+    EXPECT_TRUE(exec.record().deps.empty());
     auto out = mem.readInts(k.out);
     EXPECT_EQ(out[5], 5 + 1);
 }
